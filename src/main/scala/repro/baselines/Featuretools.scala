@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{FeatureQueryExecutor, QuerySpec, QueryTemplate}
+import repro.core.{QuerySpec, QueryTemplate}
 
 /** A named materialized feature column aligned to the training rows. */
 final case class CandidateFeature(name: String, spec: QuerySpec, values: Array[Double])
@@ -9,7 +9,8 @@ final case class CandidateFeature(name: String, spec: QuerySpec, values: Array[D
   * the paper: depth-1 Deep Feature Synthesis over one relevant table —
   * every `agg(a)` group-by query on the full foreign key, **no
   * predicates**. "FT" (no selector) keeps the first `k` in enumeration
-  * order; the FT+Selector baselines select from the full set.
+  * order; the FT+Selector baselines select from the full set. The pool is
+  * materialized in one shared-scan batch by `repro.exp.Prepared.ftCandidates`.
   */
 object Featuretools {
 
@@ -19,12 +20,6 @@ object Featuretools {
       agg <- template.aggFuncs
       attr <- template.aggAttrs
     } yield QuerySpec(agg, attr, Vector.empty, template.keys)
-
-  /** Materialize all candidates through Spark. */
-  def generate(executor: FeatureQueryExecutor, template: QueryTemplate): Vector[CandidateFeature] =
-    candidateSpecs(template).map { q =>
-      CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q, executor.featureValues(q))
-    }
 
   /** The plain-FT feature set: first `k` by enumeration order. */
   def firstK(candidates: Vector[CandidateFeature], k: Int): Vector[CandidateFeature] =

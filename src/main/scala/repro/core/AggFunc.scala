@@ -12,6 +12,13 @@ import org.apache.spark.sql.functions._
   * KURTOSIS (population excess in Spark vs sample excess in DuckDB) and
   * MODE (tie-breaking order) are verified by hand-computed unit tests
   * instead.
+  *
+  * Several Spark renderings are chosen so that many of them can share one
+  * `groupBy(keys).agg(...)` (see [[FeatureQueryExecutor]]): COUNT_DISTINCT
+  * is `size(collect_set(a))`, since several `countDistinct`s in one
+  * aggregate are planned as an `Expand` plus a second aggregation level;
+  * MODE breaks ties towards the smallest value, so a value does not depend
+  * on which batch computed it.
   */
 sealed abstract class AggFunc(val name: String, val oracleSafe: Boolean) {
   /** Catalyst aggregate over the (numeric) aggregation attribute. */
@@ -38,7 +45,7 @@ object AggFunc {
     def sparkExpr(col: Column): Column = avg(col); def duckExpr(col: String) = s"AVG(${c(col)})"
   }
   case object CountDistinct extends AggFunc("COUNT_DISTINCT", oracleSafe = true) {
-    def sparkExpr(col: Column): Column = countDistinct(col)
+    def sparkExpr(col: Column): Column = size(collect_set(col))
     def duckExpr(col: String) = s"COUNT(DISTINCT $col)"
   }
   case object VarPop extends AggFunc("VAR", oracleSafe = true) {
@@ -61,7 +68,8 @@ object AggFunc {
     def sparkExpr(col: Column): Column = kurtosis(col); def duckExpr(col: String) = s"KURTOSIS(${c(col)})"
   }
   case object Mode extends AggFunc("MODE", oracleSafe = false) {
-    def sparkExpr(col: Column): Column = mode(col); def duckExpr(col: String) = s"MODE(${c(col)})"
+    def sparkExpr(col: Column): Column = mode(col, deterministic = true)
+    def duckExpr(col: String) = s"MODE(${c(col)})"
   }
   case object Mad extends AggFunc("MAD", oracleSafe = true) {
     def sparkExpr(col: Column): Column = call_udf("fa_mad", col.cast("double"))

@@ -17,9 +17,11 @@ import org.apache.spark.sql.functions
   *
   * Buffers are case classes over `Map`/`Vector` so Spark's product
   * ExpressionEncoder serializes them (Kryo-encoded buffers break inside
-  * ScalaAggregator on Spark 4.1). Inputs are assumed non-null (the
-  * synthetic generators produce no nulls); empty groups cannot occur
-  * under GROUP BY.
+  * ScalaAggregator on Spark 4.1). Inputs are boxed `java.lang.Double`s and
+  * NULLs are skipped, as SQL aggregates do: the batched executor feeds
+  * each query `when(pred, a)`, which is NULL on rows its predicate
+  * rejects (a primitive `Double` input would read those as 0.0). A group
+  * with no non-NULL input finishes at 0.0, the executor's fill value.
   */
 object Aggregates {
 
@@ -29,10 +31,11 @@ object Aggregates {
   final case class ValuesBuf(values: Vector[Double])
 
   /** Shannon entropy (bits) over the multiset of group values. */
-  object EntropyAgg extends Aggregator[Double, CountsBuf, Double] {
+  object EntropyAgg extends Aggregator[java.lang.Double, CountsBuf, Double] {
     override def zero: CountsBuf = CountsBuf(Map.empty)
-    override def reduce(b: CountsBuf, a: Double): CountsBuf =
-      CountsBuf(b.counts.updated(a, b.counts.getOrElse(a, 0L) + 1L))
+    override def reduce(b: CountsBuf, a: java.lang.Double): CountsBuf =
+      if (a == null) b
+      else CountsBuf(b.counts.updated(a.doubleValue, b.counts.getOrElse(a.doubleValue, 0L) + 1L))
     override def merge(b1: CountsBuf, b2: CountsBuf): CountsBuf =
       CountsBuf(b2.counts.foldLeft(b1.counts) { case (m, (k, v)) => m.updated(k, m.getOrElse(k, 0L) + v) })
     override def finish(b: CountsBuf): Double = {
@@ -48,9 +51,10 @@ object Aggregates {
   }
 
   /** Median absolute deviation around the median. */
-  object MadAgg extends Aggregator[Double, ValuesBuf, Double] {
+  object MadAgg extends Aggregator[java.lang.Double, ValuesBuf, Double] {
     override def zero: ValuesBuf = ValuesBuf(Vector.empty)
-    override def reduce(b: ValuesBuf, a: Double): ValuesBuf = ValuesBuf(b.values :+ a)
+    override def reduce(b: ValuesBuf, a: java.lang.Double): ValuesBuf =
+      if (a == null) b else ValuesBuf(b.values :+ a.doubleValue)
     override def merge(b1: ValuesBuf, b2: ValuesBuf): ValuesBuf = ValuesBuf(b1.values ++ b2.values)
     override def finish(b: ValuesBuf): Double = {
       if (b.values.isEmpty) 0.0
@@ -71,14 +75,14 @@ object Aggregates {
     if (n % 2 == 1) s(n / 2) else (s(n / 2 - 1) + s(n / 2)) / 2.0
   }
 
-  @volatile private var registered = false
-
-  /** Register `fa_entropy` / `fa_mad` in the session once per JVM. */
+  /** Register `fa_entropy` / `fa_mad` in `spark` unless that session
+    * already has them. Function registries are per session, so a session
+    * from `newSession()` or one built after `stop()` registers its own.
+    */
   def register(spark: SparkSession): Unit = synchronized {
-    if (!registered) {
-      spark.udf.register("fa_entropy", functions.udaf(EntropyAgg, Encoders.scalaDouble))
-      spark.udf.register("fa_mad", functions.udaf(MadAgg, Encoders.scalaDouble))
-      registered = true
-    }
+    if (!spark.catalog.functionExists("fa_entropy"))
+      spark.udf.register("fa_entropy", functions.udaf(EntropyAgg, Encoders.DOUBLE))
+    if (!spark.catalog.functionExists("fa_mad"))
+      spark.udf.register("fa_mad", functions.udaf(MadAgg, Encoders.DOUBLE))
   }
 }

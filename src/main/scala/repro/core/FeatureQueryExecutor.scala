@@ -7,18 +7,25 @@ import org.apache.spark.sql.functions._
   * the DataFrame API (Catalyst plans the filter → hash-aggregate →
   * shuffle), and augments the training table per Definition 3.
   *
-  * Two equivalent materialization paths exist (tests prove equivalence):
+  * Every query runs through one shared-scan plan (multi-query
+  * optimization, Sellis TODS'88; the one-pass Deep Feature Synthesis of
+  * Featuretools): [[featureValuesBatch]] groups its queries by key set and
+  * runs one Spark job per key set. The relevant table is filtered by the
+  * OR of the queries' WHERE clauses, query i becomes
+  * `agg_i(when(pred_i, a_i))` in a single `groupBy(keys).agg(...)`, and
+  * one collect is aligned to [[trainKeyRows]] for all of them. When every
+  * query of a key set has the same WHERE clause (always for a single
+  * query), the plan is just `filter(pred)` with plain `agg_i(a_i)`.
   *
-  *  - [[augment]]: the paper's LEFT JOIN of D with q(R) — used for final
-  *    feature materialization and the DuckDB oracle tests;
-  *  - [[featureValues]]: the hot search path — the (small) aggregated
-  *    result is collected to a key→value map on the driver and aligned to
-  *    the training rows, avoiding a Spark join per candidate query. The
-  *    group-by aggregation itself still runs in Spark.
+  *  - [[featureValues]] is a batch of one: the search path, one query at a
+  *    time;
+  *  - [[featureDf]] / [[augment]]: q(R) and the paper's LEFT JOIN of D with
+  *    q(R), from the same plan — used for final feature materialization
+  *    and the DuckDB oracle tests.
   *
   * NULL features (keys with no qualifying rows, or NaN-producing
   * aggregates such as variance of a single row) are imputed with 0.0 on
-  * both paths, mirroring Featuretools' fillna(0) convention.
+  * every path, mirroring Featuretools' fillna(0) convention.
   */
 final class FeatureQueryExecutor(
     val train: DataFrame,
@@ -49,14 +56,37 @@ final class FeatureQueryExecutor(
     }
   }
 
-  /** q(R): keys + `feature` (double; NaN normalized to NULL). */
-  def featureDf(q: QuerySpec): DataFrame = {
-    val filtered = q.preds.flatMap(predColumn).foldLeft(relevant)((df, c) => df.filter(c))
-    val raw = filtered
-      .groupBy(q.keys.map(col): _*)
-      .agg(q.agg.sparkExpr(col(q.aggAttr)).cast("double").as("feature"))
-    raw.withColumn("feature", when(isnan(col("feature")), lit(null)).otherwise(col("feature")))
+  /** The WHERE clause of `q`; None when it has no predicate. */
+  private def whereColumn(q: QuerySpec): Option[Column] =
+    q.preds.flatMap(predColumn).reduceOption(_ && _)
+
+  /** The shared-scan plan of `qs`, which all group by `keys`: the key
+    * columns, then one double column `feature<i>` per query (NaN
+    * normalized to NULL).
+    */
+  private def batchDf(keys: Vector[String], qs: Seq[QuerySpec]): DataFrame = {
+    val wheres = qs.map(whereColumn)
+    val shared = qs.map(_.preds.filterNot(_.isEmpty)).distinct.size == 1
+    val scan =
+      if (shared) wheres.head.fold(relevant)(w => relevant.filter(w))
+      else if (wheres.contains(None)) relevant
+      else relevant.filter(wheres.flatten.reduce(_ || _))
+    val aggs = qs.zip(wheres).zipWithIndex.map { case ((q, where), i) =>
+      val a = col(q.aggAttr)
+      val input = if (shared) a else where.fold(a)(when(_, a))
+      q.agg.sparkExpr(input).cast("double").as(s"feature$i")
+    }
+    val features = qs.indices.map { i =>
+      val f = col(s"feature$i")
+      when(isnan(f), lit(null)).otherwise(f).as(s"feature$i")
+    }
+    scan.groupBy(keys.map(col): _*).agg(aggs.head, aggs.tail: _*)
+      .select(keys.map(col) ++ features: _*)
   }
+
+  /** q(R): keys + `feature` (double; NaN normalized to NULL). */
+  def featureDf(q: QuerySpec): DataFrame =
+    batchDf(q.keys, Seq(q)).withColumnRenamed("feature0", "feature")
 
   /** Definition 3: D LEFT JOIN q(R) with the feature named `name`. */
   def augment(q: QuerySpec, name: String): DataFrame = {
@@ -64,19 +94,30 @@ final class FeatureQueryExecutor(
     train.join(f, q.keys, "left").na.fill(0.0, Seq(name))
   }
 
-  /** The feature column aligned to [[trainKeyRows]] (search fast path). */
-  def featureValues(q: QuerySpec): Array[Double] = {
-    val keyIdx = q.keys.map(allKeys.indexOf)
-    require(keyIdx.forall(_ >= 0), s"query keys ${q.keys} not a subset of $allKeys")
-    val m = featureDf(q).collect().iterator.map { r =>
-      val k = Vector.tabulate(q.keys.size)(i => String.valueOf(r.get(i)))
-      val v = if (r.isNullAt(q.keys.size)) 0.0 else r.getDouble(q.keys.size)
-      k -> v
-    }.toMap
-    trainKeyRows.map { full =>
-      val k = keyIdx.map(full)
-      m.getOrElse(k, 0.0)
+  /** The feature column of `q` aligned to [[trainKeyRows]]. */
+  def featureValues(q: QuerySpec): Array[Double] = featureValuesBatch(Seq(q)).head
+
+  /** The feature columns of `qs`, in order, each aligned to
+    * [[trainKeyRows]]: one Spark job and one collect per distinct key set.
+    */
+  def featureValuesBatch(qs: Seq[QuerySpec]): Vector[Array[Double]] = {
+    val out = new Array[Array[Double]](qs.size)
+    for ((keys, idx) <- qs.indices.groupBy(i => qs(i).keys).toSeq.sortBy(_._2.head)) {
+      val keyIdx = keys.map(allKeys.indexOf)
+      require(keyIdx.forall(_ >= 0), s"query keys $keys not a subset of $allKeys")
+      val groups = batchDf(keys, idx.map(qs)).collect().iterator.map { r =>
+        Vector.tabulate(keys.size)(i => String.valueOf(r.get(i))) -> r
+      }.toMap
+      val rows = trainKeyRows.map(full => groups.get(keyIdx.map(full)))
+      idx.zipWithIndex.foreach { case (i, j) =>
+        val c = keys.size + j
+        out(i) = rows.map {
+          case Some(r) if !r.isNullAt(c) => r.getDouble(c)
+          case _ => 0.0
+        }
+      }
     }
+    out.toVector
   }
 
   /** DuckDB SQL equivalent of [[featureDf]] over VARCHAR-typed `table`

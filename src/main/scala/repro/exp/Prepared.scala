@@ -41,20 +41,23 @@ final class Prepared(val td: TaskDef, val budget: SearchBudget, splitSeed: Long 
 
   /** The full Featuretools candidate pool (predicate-free agg queries). */
   lazy val ftCandidates: Vector[CandidateFeature] =
-    Featuretools.candidateSpecs(template(Vector.empty)).map { q =>
-      CandidateFeature(s"${q.agg.name}_${q.aggAttr}", q,
-        featureStore.getOrElseUpdate(q.cacheKey, executor.featureValues(q)))
-    }
+    candidates(Featuretools.candidateSpecs(template(Vector.empty)))(q => s"${q.agg.name}_${q.aggAttr}")
 
   /** Direct-join candidates (each relevant column as-is, via a one-to-one
     * AVG aggregate) for the ARDA / AutoFeature baselines.
     */
   lazy val directCandidates: Vector[CandidateFeature] =
-    td.directJoinAttrs.map { a =>
-      val q = QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys)
-      CandidateFeature(s"direct_$a", q,
-        featureStore.getOrElseUpdate(q.cacheKey, executor.featureValues(q)))
-    }
+    candidates(td.directJoinAttrs.map(a => QuerySpec(AggFunc.Avg, a, Vector.empty, td.keys)))(
+      q => s"direct_${q.aggAttr}")
+
+  /** Named candidates over the shared store: the store misses run as one
+    * batch ([[FeatureQueryExecutor.featureValuesBatch]]).
+    */
+  private def candidates(qs: Vector[QuerySpec])(name: QuerySpec => String): Vector[CandidateFeature] = {
+    val misses = qs.filterNot(q => featureStore.contains(q.cacheKey))
+    misses.zip(executor.featureValuesBatch(misses)).foreach { case (q, v) => featureStore.update(q.cacheKey, v) }
+    qs.map(q => CandidateFeature(name(q), q, featureStore(q.cacheKey)))
+  }
 
   /** Materialize a query's feature through the shared store. */
   def feature(q: QuerySpec): Array[Double] =

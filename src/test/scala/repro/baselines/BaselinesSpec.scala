@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.core.{AggFunc, MiniData, QueryTemplate}
+import repro.exp.{Experiments, Prepared}
 import repro.ml._
 import scala.util.Random
 
@@ -23,8 +24,10 @@ class BaselinesSpec extends SparkSpec with MiniData {
     assert(a == b)
   }
 
+  private lazy val ftPool = new Prepared(taskDef, Experiments.testBudget).ftCandidates
+
   test("Featuretools materializes aligned feature columns through Spark") {
-    val feats = Featuretools.generate(executor, template)
+    val feats = ftPool
     assert(feats.forall(_.values.length == nUsers))
     val sumAmt = feats.find(_.name == "SUM_amt").get
     // compare against hand-computed per-user sums
@@ -35,7 +38,7 @@ class BaselinesSpec extends SparkSpec with MiniData {
   }
 
   test("firstK truncates in enumeration order") {
-    val feats = Featuretools.generate(executor, template)
+    val feats = ftPool
     assert(Featuretools.firstK(feats, 3) == feats.take(3))
     assert(Featuretools.firstK(feats, 1000) == feats)
   }

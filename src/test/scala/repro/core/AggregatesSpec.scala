@@ -17,6 +17,17 @@ class AggregatesSpec extends SparkSpec {
     r.getDouble(1)
   }
 
+  /** `agg` over one group whose NULL inputs come from `when`, as the
+    * batched executor produces them for rows a query's predicate rejects.
+    */
+  private def aggValueNullable(agg: AggFunc, values: Seq[Option[Double]]): Double = {
+    Aggregates.register(spark)
+    import spark.implicits._
+    val df = values.map(v => (1L, v.isDefined, v.getOrElse(-1.0))).toDF("k", "keep", "v")
+    val r = df.groupBy("k").agg(agg.sparkExpr(when(col("keep"), col("v"))).cast("double").as("f")).collect()(0)
+    r.getDouble(1)
+  }
+
   test("median helper: odd count picks the middle value") {
     assert(Aggregates.median(Array(3.0, 1.0, 2.0)) == 2.0)
   }
@@ -51,6 +62,26 @@ class AggregatesSpec extends SparkSpec {
     assert(aggValue(AggFunc.Mad, Seq(3, 3, 3, 3)) == 0.0)
   }
 
+  test("ENTROPY skips NULL inputs") {
+    // NULLs read as 0.0 would add a value 0 seen three times: 1.37 bits.
+    assert(aggValueNullable(AggFunc.Entropy, Seq(Some(1), None, Some(2), None, None)) == 1.0)
+  }
+
+  test("MAD skips NULL inputs") {
+    // NULLs read as 0.0 would give 0,0,0,1,2,4,8: median 1, MAD 1.
+    assert(aggValueNullable(AggFunc.Mad, Seq(Some(1), None, Some(2), Some(4), None, Some(8), None)) == 1.5)
+    assert(aggValueNullable(AggFunc.Mad, Seq(Some(1), None, Some(3))) == 1.0)
+  }
+
+  test("ENTROPY and MAD of an all-NULL group finish at 0.0") {
+    assert(aggValueNullable(AggFunc.Entropy, Seq(None, None, None)) == 0.0)
+    assert(aggValueNullable(AggFunc.Mad, Seq(None, None)) == 0.0)
+  }
+
+  test("MODE skips NULL inputs") {
+    assert(aggValueNullable(AggFunc.Mode, Seq(Some(5), None, None, None, Some(5), Some(2))) == 5.0)
+  }
+
   test("KURTOSIS matches the population excess kurtosis formula") {
     val vs = Seq(1.0, 2.0, 3.0, 4.0, 10.0)
     val n = vs.size
@@ -63,6 +94,31 @@ class AggregatesSpec extends SparkSpec {
 
   test("MODE returns the most frequent value when unambiguous") {
     assert(aggValue(AggFunc.Mode, Seq(1, 2, 2, 2, 3)) == 2.0)
+  }
+
+  test("MODE breaks a tie towards the smallest value") {
+    assert(aggValue(AggFunc.Mode, Seq(3, 1, 3, 1, 2)) == 1.0)
+    assert(aggValue(AggFunc.Mode, Seq(9, 7, 8, 9, 7, 8)) == 7.0)
+  }
+
+  test("COUNT_DISTINCT counts distinct non-NULL values") {
+    assert(aggValue(AggFunc.CountDistinct, Seq(1, 2, 2, 3, 3, 3)) == 3.0)
+    assert(aggValueNullable(AggFunc.CountDistinct, Seq(Some(1), None, Some(1), Some(4))) == 2.0)
+    assert(aggValueNullable(AggFunc.CountDistinct, Seq(None, None)) == 0.0)
+  }
+
+  test("a new session gets its own fa_entropy / fa_mad registration") {
+    Aggregates.register(spark)
+    val fresh = spark.newSession()
+    assert(!fresh.catalog.functionExists("fa_entropy"), "function registries are per session")
+    import fresh.implicits._
+    val rel = Seq((1L, 1.0), (1L, 2.0), (1L, 4.0)).toDF("k", "v")
+    // Building an executor registers the aggregates in its session.
+    val ex = new FeatureQueryExecutor(Seq(1L).toDF("k"), rel, Vector("k"))
+    assert(fresh.catalog.functionExists("fa_entropy") && fresh.catalog.functionExists("fa_mad"))
+    val h = ex.featureValues(QuerySpec(AggFunc.Entropy, "v", Vector.empty, Vector("k")))
+    assert(h.length == 1 && math.abs(h(0) - math.log(3) / math.log(2)) < 1e-12)
+    assert(ex.featureValues(QuerySpec(AggFunc.Mad, "v", Vector.empty, Vector("k"))).toSeq == Seq(1.0))
   }
 
   test("registration is idempotent") {

@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.ml.Splits
+import repro.data.TaskDef
+import repro.ml.{BinaryClassification, Splits}
 import scala.util.Random
 
 /** A tiny deterministic one-to-many fixture shared by core tests:
@@ -61,6 +62,10 @@ trait MiniData { self: SparkSpec =>
     QueryTemplate(AggFunc.basic, Vector("amt", "t"), Vector("cat", "t"), Vector("uid"))
 
   lazy val codec = new QueryVectorCodec(template, domains)
+
+  /** The fixture as a task over [[template]]'s functions and attributes. */
+  lazy val taskDef: TaskDef = TaskDef("mini", train, relevant, Vector("uid"), Vector("b"), "label",
+    BinaryClassification, template.aggFuncs, template.aggAttrs, template.predAttrs)
 
   lazy val baseX: Array[Array[Double]] = trainRows.map(r => Array(r._2)).toArray
   lazy val yArr: Array[Double] = trainRows.map(_._3.toDouble).toArray
